@@ -102,10 +102,10 @@ impl std::fmt::Display for SystemConfig {
 ///
 /// Parallel execution is *deterministic*: every tier (per-config runs
 /// in [`crate::pipeline::compare`], per-workload profiling in
-/// [`crate::pipeline::run_corun`], and the channel-sharded memory
-/// simulation inside `Machine::run_with`) produces reports bit-identical
-/// to [`Parallelism::Serial`]. The knob only trades wall-clock for
-/// host threads.
+/// [`crate::pipeline::run_corun`], and the DL selector's mini-batch
+/// fan-out) produces reports bit-identical to [`Parallelism::Serial`].
+/// The knob only trades wall-clock for host threads. The machine model
+/// itself always runs serially: one simulated run is one host thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Single-threaded everywhere (the reference behaviour).

@@ -7,9 +7,8 @@
 //! [`sdam_mem`]); nothing in a hot loop touches a registry or an
 //! atomic. This module is where those accumulators are *merged* into
 //! one [`Registry`] — once per run, at the report barrier — which is
-//! what keeps the snapshot bit-identical between the serial driver and
-//! the channel-sharded parallel one: the shards are always folded in a
-//! fixed order (channel order, core order, process order, lineup
+//! what keeps the snapshot bit-identical between serial and threaded
+//! pipeline runs: the shards are always folded in a fixed order (channel order, core order, process order, lineup
 //! order), never racily.
 //!
 //! The merge is gated on the `obs` cargo feature. With the feature off

@@ -95,8 +95,8 @@ impl ChannelSim {
     }
 
     /// [`ChannelSim::service_in_order_rw`] that also reports how the
-    /// request classified against the row buffer. The adaptive machine
-    /// driver uses the outcome to attribute conflicts to chunks; the
+    /// request classified against the row buffer. The machine driver
+    /// uses the outcome to attribute conflicts to chunks; the
     /// timing result is bit-identical to the outcome-less path.
     ///
     /// # Panics

@@ -12,9 +12,9 @@ pub const DEFAULT_REORDER_WINDOW: usize = 16;
 /// The permutation-based bank interleave of Zhang, Zhu & Zhang
 /// (MICRO-33): the effective bank is the stated bank XOR an XOR-fold of
 /// the whole row index, so streams differing in *any* row bit (low or
-/// high) land on different banks. Standalone so that channel-sharded
-/// simulation (which bypasses [`Hbm::service_rw`]) applies the exact
-/// same transform.
+/// high) land on different banks. Standalone so that code scoring a
+/// mapping without a device (the adaptive controller, the probe agent)
+/// applies the exact same transform.
 pub fn bank_hashed(geometry: Geometry, mut addr: DecodedAddr) -> DecodedAddr {
     let bank_bits = geometry.bank_bits();
     if bank_bits == 0 {
@@ -33,28 +33,6 @@ pub fn bank_hashed(geometry: Geometry, mut addr: DecodedAddr) -> DecodedAddr {
     }
     addr.bank ^= fold & ((1u64 << bank_bits) - 1);
     addr
-}
-
-/// [`bank_hashed`] applied in place over a block of addresses: the
-/// `bank_bits` branch and mask are hoisted out of the loop, so batching
-/// callers (the block-based machine driver in `sdam-sys`) pay one setup
-/// per block instead of one per request. Bit-identical to mapping
-/// [`bank_hashed`] over the slice.
-pub fn bank_hashed_block(geometry: Geometry, addrs: &mut [DecodedAddr]) {
-    let bank_bits = geometry.bank_bits();
-    if bank_bits == 0 {
-        return; // one bank per channel: nothing to permute
-    }
-    let mask = (1u64 << bank_bits) - 1;
-    for addr in addrs {
-        let mut fold = addr.row;
-        let mut shift = bank_bits;
-        while shift < u64::BITS {
-            fold ^= fold >> shift;
-            shift <<= 1;
-        }
-        addr.bank ^= fold & mask;
-    }
 }
 
 /// The original per-chunk fold loop of [`bank_hashed`], kept as the
@@ -174,9 +152,8 @@ impl Hbm {
     }
 
     /// The address as the controller actually presents it to a channel
-    /// (bank hash applied when enabled). Exposed so external schedulers
-    /// — the channel-sharded machine model in `sdam-sys` — can replicate
-    /// the device's behavior exactly.
+    /// (bank hash applied when enabled): what
+    /// [`Hbm::service_effective_rw_outcome`] expects.
     pub fn effective_addr(&self, addr: DecodedAddr) -> DecodedAddr {
         self.effective(addr)
     }
@@ -210,27 +187,6 @@ impl Hbm {
     /// As [`Hbm::service`].
     pub fn service_rw(&mut self, addr: DecodedAddr, is_write: bool, arrival: Cycle) -> Cycle {
         let addr = self.effective(addr);
-        self.service_effective_rw(addr, is_write, arrival)
-    }
-
-    /// [`Hbm::service_rw`] for an address that has *already* been run
-    /// through [`Hbm::effective_block`] (or [`Hbm::effective_addr`]).
-    ///
-    /// Block-based drivers hoist the controller bank hash out of the
-    /// issue loop by hashing whole decode blocks up front; this entry
-    /// point lets them service those addresses without hashing twice
-    /// (the hash is an involution-free transform, so double application
-    /// would corrupt the bank index).
-    ///
-    /// # Panics
-    ///
-    /// As [`Hbm::service`].
-    pub fn service_effective_rw(
-        &mut self,
-        addr: DecodedAddr,
-        is_write: bool,
-        arrival: Cycle,
-    ) -> Cycle {
         let done = self.channels[addr.channel as usize].service_in_order_rw(
             addr,
             is_write,
@@ -242,11 +198,12 @@ impl Hbm {
         done
     }
 
-    /// [`Hbm::service_effective_rw`] that also reports the row-buffer
+    /// [`Hbm::service_rw`] for an address that has *already* been run
+    /// through [`Hbm::effective_addr`], also reporting the row-buffer
     /// classification (hit / miss / conflict) of the served request.
     ///
     /// The timing result and all device statistics are bit-identical to
-    /// the outcome-less path; the extra return value only *observes* the
+    /// [`Hbm::service_rw`]'s; the extra return value only *observes* the
     /// classification that [`crate::bank::BankState::access`] already
     /// computed, so drivers attributing conflicts per chunk pay nothing.
     ///
@@ -268,15 +225,6 @@ impl Hbm {
         self.requests += 1;
         self.makespan = self.makespan.max(done);
         (done, outcome)
-    }
-
-    /// Applies the controller's effective-address transform (the bank
-    /// hash, unless disabled) to a block of decoded addresses in place —
-    /// the block twin of [`Hbm::effective_addr`].
-    pub fn effective_block(&self, addrs: &mut [DecodedAddr]) {
-        if self.bank_hash {
-            bank_hashed_block(self.geometry, addrs);
-        }
     }
 
     /// Runs a whole stream open-loop (all requests available at cycle 0)
@@ -656,31 +604,6 @@ mod tests {
         }
         // After every partial drain each channel holds < window requests.
         assert_eq!(hbm.stats().requests, 4096);
-    }
-
-    #[test]
-    fn block_bank_hash_matches_scalar() {
-        for geom in [
-            Geometry::hbm2_8gb(),
-            Geometry::ddr4_8gb(),
-            Geometry::hmc_4gb(),
-        ] {
-            let mut x = 0x1234_5678_9abc_def0u64;
-            let mut addrs: Vec<DecodedAddr> = (0..2048u64)
-                .map(|_| {
-                    x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(13);
-                    DecodedAddr {
-                        row: x >> 17,
-                        bank: x % geom.banks_per_channel() as u64,
-                        channel: x % geom.num_channels() as u64,
-                        col: 0,
-                    }
-                })
-                .collect();
-            let expected: Vec<DecodedAddr> = addrs.iter().map(|&a| bank_hashed(geom, a)).collect();
-            bank_hashed_block(geom, &mut addrs);
-            assert_eq!(addrs, expected);
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # Online adaptive remapping — the DReAM-style feedback loop
 //!
 //! The paper selects mappings *offline* from a profiling pass; this
-//! module closes the loop at runtime. The block drivers in
-//! [`crate::machine`] attribute row conflicts to the 2^chunk_bits-byte
-//! chunk that produced them, and at block-window boundaries a
+//! module closes the loop at runtime. The machine driver in
+//! [`crate::machine`] attributes row conflicts to the 2^chunk_bits-byte
+//! chunk that produced them, and at window boundaries a
 //! [`RemapController`] inspects those counters, detects a
 //! mapping/workload mismatch (a hot chunk whose conflict rate stays
 //! above threshold for K consecutive windows while its traffic is
@@ -14,11 +14,11 @@
 //! ordinary HBM service path, then `Cmt::assign_chunk` flips the table
 //! entry so the epoch bump invalidates every scalar and block memo.
 //!
-//! Everything the controller consumes is deterministically merged
-//! state: per-chunk counters accumulated in trace order (serial) or
-//! folded commutatively at the boundary (sharded), so adaptive runs are
-//! bit-identical serial vs threaded, and a disabled controller leaves
-//! the driver untouched.
+//! The controller is a hook on the one machine driver, not a second
+//! driver: it sees each external miss and its row outcome in trace
+//! order and is offered a boundary every 4096 accesses, so adaptive
+//! runs are deterministic, and a disabled controller leaves the driver
+//! untouched.
 
 use std::collections::BTreeMap;
 
@@ -34,12 +34,13 @@ use sdam_mapping::{Cmt, MappingId, PhysAddr};
 /// migration budget that bounds worst-case injected traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
-    /// Master switch; `false` leaves the driver bit-identical to the
-    /// non-adaptive one.
+    /// Master switch; `false` leaves the run bit-identical to
+    /// [`crate::Machine::run`].
     pub enabled: bool,
     /// Trace accesses per observation window. Boundaries are evaluated
-    /// at driver block edges, so the effective boundary lands at the
-    /// first block edge at or past each multiple of this.
+    /// at the driver's 4096-access block edges, so the effective
+    /// boundary lands at the first block edge at or past each multiple
+    /// of this.
     pub window_accesses: u64,
     /// A chunk qualifies as mismatched when `conflicts / requests` in a
     /// window reaches this rate ...
@@ -67,7 +68,7 @@ pub struct AdaptConfig {
 
 impl AdaptConfig {
     /// Adaptation off: the driver must be bit-identical to
-    /// [`crate::Machine::run_with`].
+    /// [`crate::Machine::run`].
     pub fn disabled() -> Self {
         AdaptConfig {
             enabled: false,
@@ -122,7 +123,7 @@ pub struct ChunkTraffic {
 /// [`crate::ExecutionReport`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AdaptReport {
-    /// Whether the adaptive driver ran (false for `AdaptConfig::disabled`
+    /// Whether the controller ran (false for `AdaptConfig::disabled`
     /// or a non-chunked engine; the rest of the report is then zero).
     pub enabled: bool,
     /// Observation windows completed.
@@ -219,10 +220,9 @@ impl RemapController {
         }
     }
 
-    /// Records an external miss (phase A of the drivers): counts the
-    /// request against its chunk and keeps the first `sample_lines`
-    /// physical addresses for candidate scoring. Both drivers call this
-    /// in trace order, before translation.
+    /// Records an external miss: counts the request against its chunk
+    /// and keeps the first `sample_lines` physical addresses for
+    /// candidate scoring. The driver calls this in trace order.
     pub fn note_access(&mut self, pa: u64) {
         let w = self.window.entry(pa >> self.chunk_bits).or_default();
         w.requests += 1;
@@ -232,9 +232,7 @@ impl RemapController {
     }
 
     /// Records the row-buffer outcome of a serviced workload request.
-    /// The serial driver calls this inline in replay order; the sharded
-    /// driver folds each window's outcomes at the boundary — the
-    /// counters are commutative, so both orders merge identically.
+    /// The driver calls this right after servicing the request.
     pub fn note_outcome(&mut self, chunk: u64, channel: u64, outcome: RowOutcome) {
         let w = self.window.entry(chunk).or_default();
         w.channel_mask |= 1u64 << channel.min(63);
@@ -245,8 +243,7 @@ impl RemapController {
 
     /// Advances the access counter by one driver block; returns `true`
     /// when a window boundary has been crossed and
-    /// [`RemapController::end_window`] should run. Both drivers count
-    /// the same trace blocks, so boundaries land identically.
+    /// [`RemapController::end_window`] should run.
     pub fn block_done(&mut self, block_len: usize) -> bool {
         self.accesses_seen += block_len as u64;
         if self.accesses_seen < self.next_window_at {
