@@ -378,3 +378,97 @@ fn streamed_trace_replay_identical_serial_and_parallel() {
         assert_eq!(serial, par, "parallel replay diverged at {threads} threads");
     }
 }
+
+/// FNV-1a over 64-bit words: the digest of the allocation-path fixture.
+fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Every field of every access, in trace order.
+fn trace_words(t: &sdam_trace::Trace) -> impl Iterator<Item = u64> + '_ {
+    t.iter().flat_map(|a| {
+        [
+            a.addr,
+            a.pc,
+            u64::from(a.thread.0),
+            u64::from(a.variable.0),
+            u64::from(a.is_write),
+        ]
+    })
+}
+
+#[test]
+fn pipeline_artifacts_match_committed_fixture() {
+    // The allocation path's outputs, pinned per benchmark of both
+    // suites at tiny scale: the two-pass profile (major ids, aggregate
+    // and per-variable BFRV rate bits, per-variable PA streams) and the
+    // PA trace `AllocStage` materializes under BS+DM and SDM+BSM with
+    // that system's fault and fragmentation counts. A co-run line covers
+    // sparse (renumbered) variable ids and spawned processes.
+    use sdam::stage::{AllocStage, ProfileStage, RunContext, SelectStage, Stage, StageCache};
+    let exp = Experiment::quick();
+    let mut got = String::new();
+    let suite: Vec<_> = sdam_workloads::standard_suite()
+        .into_iter()
+        .chain(sdam_workloads::data_intensive_suite())
+        .collect();
+    for w in &suite {
+        let p = sdam::profiling::try_profile_on_baseline(w.as_ref(), &exp).unwrap();
+        let rates = |b: &sdam_mapping::BitFlipRateVector| {
+            let mut v: Vec<u64> = b.rates().iter().map(|r| r.to_bits()).collect();
+            v.push(b.samples());
+            v
+        };
+        let mut words: Vec<u64> = p.major.iter().map(|v| u64::from(v.0)).collect();
+        words.extend(rates(&p.aggregate));
+        for (v, b) in &p.bfrvs {
+            words.push(u64::from(v.0));
+            words.extend(rates(b));
+        }
+        for (v, s) in &p.pa_streams {
+            words.push(u64::from(v.0));
+            words.push(s.len() as u64);
+            words.extend(s.iter().copied());
+        }
+        got.push_str(&format!(
+            "{}: major {} profile {:016x}",
+            w.name(),
+            p.major.len(),
+            fnv_words(words)
+        ));
+        for config in [SystemConfig::BsDm, SystemConfig::SdmBsm] {
+            let cache = StageCache::new();
+            let mut ctx = RunContext::new(w.as_ref(), config, &exp, &cache);
+            for stage in [&ProfileStage as &dyn Stage, &SelectStage, &AllocStage] {
+                stage.run(&mut ctx).unwrap();
+            }
+            let (Some(sys), Some(pa)) = (&ctx.sys, &ctx.pa_trace) else {
+                panic!("AllocStage did not materialize the trace");
+            };
+            got.push_str(&format!(
+                " | {config}: pa {:016x} len {} faults {} frag {}",
+                fnv_words(trace_words(pa)),
+                pa.len(),
+                sys.page_faults(),
+                sys.fragmentation_pages()
+            ));
+        }
+        got.push('\n');
+    }
+    let pair = [suite[19].as_ref(), suite[22].as_ref()];
+    let r = pipeline::try_run_corun(&pair, SystemConfig::SdmBsm, &exp).unwrap();
+    got.push_str(&format!(
+        "corun {}+{} {}: cycles {} requests {} report {:016x}\n",
+        pair[0].name(),
+        pair[1].name(),
+        r.config,
+        r.report.cycles,
+        r.report.memory_requests,
+        fnv_words(format!("{:?}", r.report).bytes().map(u64::from))
+    ));
+    check_fixture("pipeline_artifacts.txt", &got);
+}
