@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use sdam_mapping::{select, BfrvAccumulator, BitFlipRateVector, BitPermutation, HashMapping};
-use sdam_trace::{profile, Trace, VariableId};
+use sdam_trace::{profile, Trace, VariableId, VariableIndex};
 use sdam_workloads::Workload;
 
 use crate::config::{Experiment, SystemConfig};
@@ -35,55 +35,34 @@ pub struct ProfileData {
 
 /// Byte span of each variable in a trace: `(min_addr, len)`.
 pub fn variable_spans(trace: &Trace) -> BTreeMap<VariableId, (u64, u64)> {
-    let mut spans: BTreeMap<VariableId, (u64, u64)> = BTreeMap::new();
-    for a in trace.iter() {
-        let e = spans.entry(a.variable).or_insert((a.addr, a.addr + 64));
-        e.0 = e.0.min(a.addr);
-        e.1 = e.1.max(a.addr + 64);
-    }
-    spans
-        .into_iter()
-        .map(|(v, (lo, hi))| (v, (lo, hi - lo)))
+    let (vars, spans) = dense_spans(trace);
+    vars.ids()
+        .iter()
+        .zip(spans)
+        .map(|(&v, (lo, hi))| (v, (lo, hi - lo)))
         .collect()
 }
 
+/// The variables of `trace` and each one's `[lo, hi)` byte span, by
+/// position in the index.
+fn dense_spans(trace: &Trace) -> (VariableIndex, Vec<(u64, u64)>) {
+    VariableIndex::fold(trace, (u64::MAX, 0), |s, a| {
+        s.0 = s.0.min(a.addr);
+        s.1 = s.1.max(a.addr + 64);
+    })
+}
+
 /// Translates a workload trace to physical addresses by allocating every
-/// variable on `sys` under the given per-variable mapping ids
-/// (default mapping when absent) and demand-paging as the trace touches
-/// memory.
+/// variable (in ascending id order) into process `pid` of `sys` under
+/// the given per-variable mapping ids (default mapping when absent) and
+/// demand-paging as the trace touches memory. Co-run materializes
+/// several workloads into one system this way: they share the physical
+/// memory but not the address space.
 ///
-/// # Panics
-///
-/// Panics if physical memory is exhausted (the experiment scales are
-/// chosen so it never is).
-pub fn materialize(
-    trace: &Trace,
-    sys: &mut SdamSystem,
-    var_mapping: &BTreeMap<VariableId, sdam_mapping::MappingId>,
-) -> Trace {
-    materialize_in(trace, sys, crate::ProcessId(0), var_mapping)
-}
-
-/// [`materialize`] into a specific process of the system (the co-run
-/// path: several workloads share the physical memory but not the
-/// address space).
-///
-/// # Panics
-///
-/// As [`materialize`].
-pub fn materialize_in(
-    trace: &Trace,
-    sys: &mut SdamSystem,
-    pid: crate::ProcessId,
-    var_mapping: &BTreeMap<VariableId, sdam_mapping::MappingId>,
-) -> Trace {
-    match try_materialize_in(trace, sys, pid, var_mapping) {
-        Ok(t) => t,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`materialize_in`].
+/// Per access this is one index probe plus, when the access leaves the
+/// page its variable last touched, one [`SdamSystem::touch_in`]. A
+/// touched page stays resident (nothing is freed here), so an access to
+/// the same page reuses that page's frame without asking the system.
 ///
 /// # Errors
 ///
@@ -96,20 +75,39 @@ pub fn try_materialize_in(
     pid: crate::ProcessId,
     var_mapping: &BTreeMap<VariableId, sdam_mapping::MappingId>,
 ) -> Result<Trace, sdam_mem::MemError> {
-    let spans = variable_spans(trace);
-    let mut bases: BTreeMap<VariableId, u64> = BTreeMap::new();
-    for (&v, &(_, len)) in &spans {
-        let id = var_mapping.get(&v).copied();
-        let va = sys.malloc_in(pid, len, id)?;
-        bases.insert(v, va.raw());
+    /// Per-variable state: span start, allocation base, and the last
+    /// page touched with its frame.
+    struct Slot {
+        lo: u64,
+        base: u64,
+        vpn: u64,
+        frame: u64,
     }
+    let (vars, spans) = dense_spans(trace);
+    let mut slots = Vec::with_capacity(vars.len());
+    for (v, &(lo, hi)) in vars.ids().iter().zip(&spans) {
+        let va = sys.malloc_in(pid, hi - lo, var_mapping.get(v).copied())?;
+        slots.push(Slot {
+            lo,
+            base: va.raw(),
+            // No page yet: no VPN reaches `u64::MAX`.
+            vpn: u64::MAX,
+            frame: 0,
+        });
+    }
+    let page_bits = sys.page_bytes().trailing_zeros();
+    let offset_mask = sys.page_bytes() - 1;
     let mut out = Trace::with_capacity(trace.len());
     for a in trace.iter() {
-        let (lo, _) = spans[&a.variable];
-        let va = bases[&a.variable] + (a.addr - lo);
-        let pa = sys.touch_in(pid, sdam_mem::VirtAddr(va))?;
+        let s = &mut slots[vars[a.variable]];
+        let va = s.base + (a.addr - s.lo);
+        if va >> page_bits != s.vpn {
+            let pa = sys.touch_in(pid, sdam_mem::VirtAddr(va))?;
+            s.vpn = va >> page_bits;
+            s.frame = pa.raw() & !offset_mask;
+        }
         out.push(sdam_trace::MemAccess {
-            addr: pa.raw(),
+            addr: s.frame | (va & offset_mask),
             ..*a
         });
     }
@@ -161,22 +159,18 @@ pub fn try_profile_on_baseline(
     let mut sys2 = SdamSystem::try_new(exp.geometry, exp.chunk_bits)?;
     let identity = BitPermutation::identity(6, (exp.chunk_bits - 6) as usize);
     let mut var_mapping = BTreeMap::new();
+    let mut last_id = None;
     for &v in &major {
         // When an application has more major variables than mapping ids
         // (never the case in the paper's Table 1), the overflow shares
-        // the last id.
-        match sys2.try_add_mapping(&identity) {
-            Ok(id) => {
-                var_mapping.insert(v, id);
-            }
-            Err(SdamError::Mem(sdam_mem::MemError::MappingIdsExhausted)) => {
-                let Some(&last) = var_mapping.values().last() else {
-                    return Err(sdam_mem::MemError::MappingIdsExhausted.into());
-                };
-                var_mapping.insert(v, last);
-            }
-            Err(e) => return Err(e),
-        }
+        // the last id handed out.
+        let id = match (sys2.try_add_mapping(&identity), last_id) {
+            (Ok(id), _) => id,
+            (Err(SdamError::Mem(sdam_mem::MemError::MappingIdsExhausted)), Some(last)) => last,
+            (Err(e), _) => return Err(e),
+        };
+        last_id = Some(id);
+        var_mapping.insert(v, id);
     }
     let segregated = try_materialize_in(&train, &mut sys2, crate::ProcessId(0), &var_mapping)?;
 
@@ -184,22 +178,23 @@ pub fn try_profile_on_baseline(
     // major variable's streaming BFRV accumulator and its PA stream
     // (needed by the DL path), instead of one full-trace `addrs_of`
     // scan per variable.
-    let mut accs: BTreeMap<VariableId, (BfrvAccumulator, Vec<u64>)> = major
-        .iter()
-        .map(|&v| (v, (BfrvAccumulator::new(width), Vec::new())))
+    let majors = VariableIndex::new(major.iter().copied());
+    let mut accs: Vec<(BfrvAccumulator, Vec<u64>)> = (0..majors.len())
+        .map(|_| (BfrvAccumulator::new(width), Vec::new()))
         .collect();
     for a in segregated.iter() {
-        if let Some((acc, stream)) = accs.get_mut(&a.variable) {
+        if let Some(i) = majors.get(a.variable) {
+            let (acc, stream) = &mut accs[i];
             acc.push(a.addr);
             stream.push(a.addr);
         }
     }
-    let mut bfrvs = BTreeMap::new();
-    let mut pa_streams = BTreeMap::new();
-    for (v, (acc, stream)) in accs {
-        bfrvs.insert(v, acc.finish());
-        pa_streams.insert(v, stream);
-    }
+    let (bfrvs, pa_streams) = majors
+        .ids()
+        .iter()
+        .zip(accs)
+        .map(|(&v, (acc, stream))| ((v, acc.finish()), (v, stream)))
+        .unzip();
     Ok(ProfileData {
         aggregate,
         major,
@@ -444,6 +439,56 @@ mod tests {
         for (_, (lo, len)) in spans {
             assert!(len >= 64);
             assert_eq!(lo % 64, 0);
+        }
+    }
+
+    /// 300 variables, round-robin, variable `v` referenced `60 + v / 30`
+    /// times: flat enough that all 300 are major, hottest (highest id)
+    /// first.
+    #[derive(Debug)]
+    struct ManyVariables;
+
+    impl Workload for ManyVariables {
+        fn name(&self) -> &str {
+            "many-variables"
+        }
+
+        fn generate(&self, _: sdam_workloads::Scale) -> Trace {
+            let refs = |v: u64| 60 + v / 30;
+            let mut t = Trace::new();
+            for i in 0..refs(299) {
+                for v in (0..300).filter(|&v| i < refs(v)) {
+                    t.push(sdam_trace::MemAccess::read(
+                        (v << 20) + i * 64,
+                        VariableId(v as u32),
+                    ));
+                }
+            }
+            t
+        }
+    }
+
+    #[test]
+    fn mapping_id_overflow_shares_the_last_id_handed_out() {
+        // Majors run hottest first: ids 270..=299, then 240..=269, ...;
+        // the 255th is var 44, which takes the last of the 255 ids. The
+        // overflow (vars 0..=29 and 45..=59) must share var 44's chunk
+        // group, not that of the highest-numbered variable (299).
+        let data = profile_on_baseline(&ManyVariables, &exp());
+        assert_eq!(data.major.len(), 300);
+        assert_eq!(data.major[254], VariableId(44));
+        let chunks = |v: u32| -> std::collections::BTreeSet<u64> {
+            data.pa_streams[&VariableId(v)]
+                .iter()
+                .map(|pa| pa >> exp().chunk_bits)
+                .collect()
+        };
+        for overflow in [0, 29, 45, 59] {
+            assert!(
+                !chunks(overflow).is_disjoint(&chunks(44)),
+                "var {overflow} left the last id's chunk group"
+            );
+            assert!(chunks(overflow).is_disjoint(&chunks(299)));
         }
     }
 

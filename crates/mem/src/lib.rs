@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod addr_map;
 pub mod bitset;
 pub mod buddy;
 pub mod error;

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use sdam_mapping::{MappingId, PhysAddr};
 
+use crate::addr_map::AddrMap;
 use crate::phys::{ChunkAllocator, ChunkEvent};
 use crate::{MemError, VirtAddr};
 
@@ -69,8 +70,9 @@ pub struct AddressSpace {
     page_bits: u32,
     /// start → area.
     vmas: BTreeMap<u64, VmArea>,
-    /// vpn → frame base address.
-    page_table: BTreeMap<u64, PhysAddr>,
+    /// vpn → frame base address (open addressing: a translation is one
+    /// hash probe, never a tree walk).
+    page_table: AddrMap<PhysAddr>,
     next_mmap: u64,
     page_faults: u64,
     pending_events: Vec<ChunkEvent>,
@@ -178,7 +180,7 @@ impl AddressSpace {
         let first_vpn = area.start.vpn(self.page_bits);
         let pages = area.len >> self.page_bits;
         for vpn in first_vpn..first_vpn + pages {
-            if let Some(pa) = self.page_table.remove(&vpn) {
+            if let Some(pa) = self.page_table.remove(vpn) {
                 if let Some(ev) = phys.free_block(pa)? {
                     self.pending_events.push(ev);
                 }
@@ -205,7 +207,7 @@ impl AddressSpace {
 
     /// Translates without faulting.
     pub fn translate(&self, va: VirtAddr) -> Option<PhysAddr> {
-        let pa = self.page_table.get(&va.vpn(self.page_bits))?;
+        let pa = self.page_table.get(va.vpn(self.page_bits))?;
         Some(PhysAddr(pa.raw() | va.page_offset(self.page_bits)))
     }
 

@@ -48,4 +48,4 @@ pub mod trace;
 
 pub use access::{MemAccess, ThreadId, VariableId};
 pub use alloc_registry::{AllocationRegistry, AllocationSite, CallStack};
-pub use trace::Trace;
+pub use trace::{Trace, VariableIndex};

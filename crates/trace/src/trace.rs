@@ -1,6 +1,8 @@
-//! The [`Trace`] container.
+//! The [`Trace`] container, and [`VariableIndex`], the dense id →
+//! position table per-variable passes over a trace index by.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{MemAccess, VariableId};
 
@@ -81,11 +83,8 @@ impl Trace {
 
     /// Reference counts per variable.
     pub fn refs_per_variable(&self) -> BTreeMap<VariableId, u64> {
-        let mut m = BTreeMap::new();
-        for a in &self.accesses {
-            *m.entry(a.variable).or_insert(0u64) += 1;
-        }
-        m
+        let (vars, refs) = VariableIndex::fold(self, 0u64, |n, _| *n += 1);
+        vars.ids.into_iter().zip(refs).collect()
     }
 
     /// Distinct variables referenced, in id order.
@@ -97,13 +96,16 @@ impl Trace {
     /// bytes. This is the "variable size" statistic of the paper's
     /// Table 1, measured rather than declared.
     pub fn footprint_per_variable(&self) -> BTreeMap<VariableId, u64> {
-        let mut lines: BTreeMap<VariableId, std::collections::BTreeSet<u64>> = BTreeMap::new();
-        for a in &self.accesses {
-            lines.entry(a.variable).or_default().insert(a.line_addr());
-        }
+        let mut lines: Vec<(VariableId, u64)> = self
+            .accesses
+            .iter()
+            .map(|a| (a.variable, a.line_addr()))
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
         lines
-            .into_iter()
-            .map(|(v, s)| (v, s.len() as u64 * 64))
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run.len() as u64 * 64))
             .collect()
     }
 
@@ -196,6 +198,133 @@ impl<'a> IntoIterator for &'a Trace {
     }
 }
 
+/// Multiply-xorshift hashing of a `u32` variable id. The std default
+/// (SipHash) costs several times the per-access work of the passes that
+/// look ids up. Folding the product's high half into its low half makes
+/// the bucket bits depend on every id bit, so ids that differ only in
+/// high bits (co-run renumbering) do not share buckets. Ids are not
+/// randomized against crafted collisions: a trace that collides on
+/// purpose only slows its own profiling run.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        let h = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type IdMap<V> = HashMap<u32, V, BuildHasherDefault<IdHasher>>;
+
+/// Dense positions for a set of variables: the distinct ids in
+/// ascending order, and an O(1) id → position lookup.
+///
+/// Per-variable passes over a trace keep their state in `Vec`s indexed
+/// by position. Raw ids can be sparse (co-run renumbering adds 100 000
+/// per workload), so they never index a `Vec` directly.
+///
+/// ```
+/// use sdam_trace::{trace::VariableIndex, VariableId};
+///
+/// let idx = VariableIndex::new([VariableId(100_007), VariableId(3), VariableId(3)]);
+/// assert_eq!(idx.ids(), &[VariableId(3), VariableId(100_007)]);
+/// assert_eq!(idx[VariableId(100_007)], 1);
+/// assert_eq!(idx.get(VariableId(4)), None);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct VariableIndex {
+    ids: Vec<VariableId>,
+    pos: IdMap<usize>,
+}
+
+impl VariableIndex {
+    /// Indexes `ids` (duplicates collapse) in ascending id order.
+    pub fn new(ids: impl IntoIterator<Item = VariableId>) -> Self {
+        let mut ids: Vec<VariableId> = ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let pos = ids.iter().enumerate().map(|(i, v)| (v.0, i)).collect();
+        VariableIndex { ids, pos }
+    }
+
+    /// Indexes every variable `trace` references and folds each one's
+    /// accesses, in trace order, into an accumulator that starts as
+    /// `init`: one pass, one hash probe per access. Accumulator `i`
+    /// belongs to the variable at position `i`.
+    pub fn fold<A: Clone>(
+        trace: &Trace,
+        init: A,
+        mut f: impl FnMut(&mut A, &MemAccess),
+    ) -> (Self, Vec<A>) {
+        // Positions in first-seen order while scanning, then renumbered
+        // to ascending id order.
+        let mut pos: IdMap<usize> = IdMap::default();
+        let mut seen: Vec<(VariableId, A)> = Vec::new();
+        for a in trace.iter() {
+            let i = *pos.entry(a.variable.0).or_insert_with(|| {
+                seen.push((a.variable, init.clone()));
+                seen.len() - 1
+            });
+            f(&mut seen[i].1, a);
+        }
+        seen.sort_unstable_by_key(|&(v, _)| v);
+        let (ids, accs): (Vec<VariableId>, Vec<A>) = seen.into_iter().unzip();
+        for (i, v) in ids.iter().enumerate() {
+            pos.insert(v.0, i);
+        }
+        (VariableIndex { ids, pos }, accs)
+    }
+
+    /// The indexed ids, ascending: position `i` holds `ids()[i]`.
+    #[inline]
+    pub fn ids(&self) -> &[VariableId] {
+        &self.ids
+    }
+
+    /// Number of indexed variables.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True if no variable is indexed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Position of `v`, or `None` if it is not indexed.
+    #[inline]
+    pub fn get(&self, v: VariableId) -> Option<usize> {
+        self.pos.get(&v.0).copied()
+    }
+}
+
+impl std::ops::Index<VariableId> for VariableIndex {
+    type Output = usize;
+
+    /// Position of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not indexed.
+    #[inline]
+    fn index(&self, v: VariableId) -> &usize {
+        &self.pos[&v.0]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,6 +349,23 @@ mod tests {
         assert_eq!(split[&VariableId(0)].len(), 5);
         let v0: Vec<u64> = t.addrs_of(VariableId(0)).collect();
         assert_eq!(v0, vec![0, 128, 256, 384, 512]);
+    }
+
+    #[test]
+    fn fold_renumbers_sparse_ids_in_ascending_order() {
+        // First seen: 200_001, then 7, then 100_000.
+        let t: Trace = [(200_001, 0), (7, 64), (200_001, 128), (100_000, 0), (7, 0)]
+            .into_iter()
+            .map(|(v, addr)| MemAccess::read(addr, VariableId(v)))
+            .collect();
+        let (idx, sums) = VariableIndex::fold(&t, 0u64, |s, a| *s += a.addr + 1);
+        let ids = [VariableId(7), VariableId(100_000), VariableId(200_001)];
+        assert_eq!(idx.ids(), &ids);
+        assert_eq!(sums, vec![66, 1, 130]);
+        for (i, &v) in ids.iter().enumerate() {
+            assert_eq!((idx[v], idx.get(v)), (i, Some(i)));
+        }
+        assert_eq!(idx.get(VariableId(8)), None);
     }
 
     #[test]
