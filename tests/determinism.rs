@@ -202,6 +202,7 @@ fn machine_reports_match_committed_fixture() {
         MappingEngine::identity(),
         MappingEngine::Global(Box::new(sdam_mapping::select::shuffle_for_stride(32, geom))),
         MappingEngine::Chunked(cmt),
+        MappingEngine::Global(Box::new(sdam_mapping::HashMapping::for_geometry(geom))),
     ];
     let mut slow_cfg = MachineConfig::cpu();
     slow_cfg.compute_cycles = 3;
@@ -220,7 +221,7 @@ fn machine_reports_match_committed_fixture() {
     ];
     // One line per report: the headline numbers, readable in a diff,
     // and an FNV-1a digest of the whole `Debug` rendering, which pins
-    // every other field without committing 60 full reports.
+    // every other field without committing 80 full reports.
     let mut got = String::new();
     for engine in &engines {
         for (c, config) in configs.into_iter().enumerate() {
