@@ -73,6 +73,7 @@ impl BankState {
     /// channel bus (i.e. bank-side readiness, excluding bus contention)
     /// and the row outcome. The caller (the channel scheduler) arbitrates
     /// the shared data bus separately.
+    #[inline]
     pub fn access(&mut self, row: u64, now: Cycle, timing: &Timing) -> (Cycle, RowOutcome) {
         let outcome = self.classify(row);
         let start = now.max(self.ready);

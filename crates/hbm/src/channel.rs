@@ -102,6 +102,7 @@ impl ChannelSim {
     /// # Panics
     ///
     /// Panics if `addr.bank` is out of range for this channel.
+    #[inline]
     pub fn service_in_order_rw_outcome(
         &mut self,
         addr: DecodedAddr,
@@ -542,6 +543,7 @@ impl ChannelSim {
         self.bank_requests.iter_mut().for_each(|b| *b = 0);
     }
 
+    #[inline]
     fn record(&mut self, outcome: RowOutcome, completion: Cycle, timing: &Timing) {
         self.stats.requests += 1;
         match outcome {

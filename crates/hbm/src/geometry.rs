@@ -294,6 +294,7 @@ impl Geometry {
     ///
     /// Bits above the device's address width are ignored (masked off), so
     /// any `u64` is acceptable input.
+    #[inline]
     pub fn decode(&self, ha: HardwareAddr) -> DecodedAddr {
         let mask = |bits: u32| -> u64 { (1u64 << bits) - 1 };
         let mut v = ha.0 >> self.line_bits;

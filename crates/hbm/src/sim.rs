@@ -15,6 +15,7 @@ pub const DEFAULT_REORDER_WINDOW: usize = 16;
 /// high) land on different banks. Standalone so that code scoring a
 /// mapping without a device (the adaptive controller, the probe agent)
 /// applies the exact same transform.
+#[inline]
 pub fn bank_hashed(geometry: Geometry, mut addr: DecodedAddr) -> DecodedAddr {
     let bank_bits = geometry.bank_bits();
     if bank_bits == 0 {
@@ -128,6 +129,7 @@ impl Hbm {
         self
     }
 
+    #[inline]
     fn effective(&self, addr: DecodedAddr) -> DecodedAddr {
         if self.bank_hash {
             bank_hashed(self.geometry, addr)
@@ -154,6 +156,7 @@ impl Hbm {
     /// The address as the controller actually presents it to a channel
     /// (bank hash applied when enabled): what
     /// [`Hbm::service_effective_rw_outcome`] expects.
+    #[inline]
     pub fn effective_addr(&self, addr: DecodedAddr) -> DecodedAddr {
         self.effective(addr)
     }
@@ -210,6 +213,7 @@ impl Hbm {
     /// # Panics
     ///
     /// As [`Hbm::service`].
+    #[inline]
     pub fn service_effective_rw_outcome(
         &mut self,
         addr: DecodedAddr,

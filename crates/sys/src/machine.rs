@@ -418,7 +418,6 @@ impl Machine {
         let mut per_core = vec![CoreStats::default(); n];
         let mut caches = vec![TranslationCache::default(); n];
         let lookup = remap.engine().lookup_cycles(&self.timing);
-        let chunk_bits = remap.engine().as_chunked().map_or(0, Cmt::chunk_bits);
 
         for block in trace.accesses().chunks(REMAP_BLOCK) {
             for a in block {
@@ -463,8 +462,7 @@ impl Machine {
                 let issue = clocks[core] + lookup;
                 let (completion, outcome) = hbm.service_effective_rw_outcome(ha, a.is_write, issue);
                 if let Remap::Adaptive(_, ctl) = &mut remap {
-                    ctl.note_access(a.addr);
-                    ctl.note_outcome(a.addr >> chunk_bits, ha.channel, outcome);
+                    ctl.note_miss(a.addr, ha.channel, outcome);
                 }
                 outstanding[core].push_back(completion);
                 clocks[core] += 1; // issue slot

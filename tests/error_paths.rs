@@ -9,7 +9,7 @@ use sdam::{pipeline, Experiment, SdamError, SdamSystem, SystemConfig};
 use sdam_hbm::Geometry;
 use sdam_mapping::{BitPermutation, Cmt, CmtError, MappingId};
 use sdam_mem::{MemError, VirtAddr};
-use sdam_sys::ConfigError;
+use sdam_sys::{CacheConfig, ConfigError, Machine, MachineConfig};
 use sdam_workloads::datacopy::DataCopy;
 
 /// A 16 KB device: 6 line + 2 col + 1 channel + 1 bank + 4 row = 14
@@ -152,6 +152,26 @@ fn invalid_machine_config_fails_through_every_entry_point() {
     assert!(matches!(
         pipeline::try_run_corun(&[&w], SystemConfig::BsDm, &exp),
         Err(SdamError::Config(ConfigError::Machine { .. }))
+    ));
+}
+
+#[test]
+fn overflowing_cache_shape_is_a_typed_error() {
+    // `line_bytes * ways` overflows u64: the shape must be rejected as
+    // a cache error, not panic (debug) or wrap into a bogus set count
+    // (release).
+    let mut config = MachineConfig::cpu();
+    config.l1 = Some(CacheConfig {
+        ways: usize::MAX / 2,
+        ..CacheConfig::boom_l1()
+    });
+    assert!(matches!(
+        config.try_validate(),
+        Err(ConfigError::Cache { .. })
+    ));
+    assert!(matches!(
+        Machine::try_new(config, Geometry::hbm2_8gb()),
+        Err(ConfigError::Cache { .. })
     ));
 }
 
