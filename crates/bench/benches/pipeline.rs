@@ -24,7 +24,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         SystemConfig::SdmBsmMl { clusters: 4 },
     ] {
         g.bench_function(config.to_string(), |b| {
-            b.iter(|| black_box(pipeline::run(&w, config, &exp)))
+            b.iter(|| black_box(pipeline::try_run(&w, config, &exp).expect("run succeeds")))
         });
     }
     g.finish();
@@ -36,7 +36,9 @@ fn bench_profiling_pass(c: &mut Criterion) {
     let mut g = c.benchmark_group("profiling");
     g.sample_size(10);
     g.bench_function("two_pass_profile", |b| {
-        b.iter(|| black_box(profiling::profile_on_baseline(&w, &exp)))
+        b.iter(|| {
+            black_box(profiling::try_profile_on_baseline(&w, &exp).expect("profiling succeeds"))
+        })
     });
     g.finish();
 }

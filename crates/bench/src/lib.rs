@@ -59,9 +59,8 @@ pub fn header(title: &str) {
 /// Writes a figure binary's merged observability snapshot as a stable
 /// JSON sidecar: `$SDAM_METRICS_DIR/<tag>.metrics.json` (default
 /// `target/metrics/`). The snapshot is [`sdam_obs::Registry::stable_json`]
-/// — deterministic, so CI can pin it with a golden test. A build with
-/// the `obs` feature disabled produces empty registries and writes
-/// nothing.
+/// — deterministic, so CI can pin it with a golden test. An empty
+/// registry writes nothing.
 pub fn write_metrics_sidecar(tag: &str, reg: &sdam_obs::Registry) {
     if reg.is_empty() {
         return;
@@ -80,7 +79,7 @@ pub fn write_metrics_sidecar(tag: &str, reg: &sdam_obs::Registry) {
 
 /// Merges the per-run snapshots of hand-built comparisons (the figure
 /// binaries that assemble [`sdam::report::Comparison`] themselves) in
-/// row order — mirroring what [`sdam::pipeline::compare`] does for its
+/// row order — mirroring what [`sdam::pipeline::try_compare`] does for its
 /// own lineup.
 pub fn merged_comparison_metrics(comparisons: &[sdam::report::Comparison]) -> sdam_obs::Registry {
     let mut reg = sdam_obs::Registry::new();

@@ -101,8 +101,8 @@ impl std::fmt::Display for SystemConfig {
 /// How much host parallelism the evaluation pipeline may use.
 ///
 /// Parallel execution is *deterministic*: every tier (per-config runs
-/// in [`crate::pipeline::compare`], per-workload profiling in
-/// [`crate::pipeline::run_corun`], and the DL selector's mini-batch
+/// in [`crate::pipeline::try_compare`], per-workload profiling in
+/// [`crate::pipeline::try_run_corun`], and the DL selector's mini-batch
 /// fan-out) produces reports bit-identical to [`Parallelism::Serial`].
 /// The knob only trades wall-clock for host threads. The machine model
 /// itself always runs serially: one simulated run is one host thread.

@@ -3,16 +3,16 @@
 //! Each layer keeps its own error — [`ConfigError`] for shapes,
 //! [`MemError`] for the allocation stack, [`CmtError`] for the mapping
 //! hardware, [`TraceIoError`] for trace files — and the pipeline's
-//! fallible entry points (`try_run`, `try_compare`, `try_run_corun`)
-//! fold them all into [`SdamError`], so a caller embedding the
-//! evaluation pipeline handles one type. The panicking wrappers (`run`,
-//! `compare`, …) remain for the figure binaries, which want fail-fast
-//! behaviour and route every error through one `exit_on_err`.
+//! entry points (`try_run`, `try_compare`, `try_run_corun`) fold them
+//! all into [`SdamError`], so a caller embedding the evaluation
+//! pipeline handles one type. The figure binaries, which want fail-fast
+//! behaviour, route every error through one `exit_on_err`.
 
 use sdam_mapping::CmtError;
 use sdam_mem::MemError;
 use sdam_sys::ConfigError;
 use sdam_trace::io::TraceIoError;
+use sdam_trace::VariableId;
 
 /// Anything the evaluation pipeline can fail with.
 #[derive(Debug)]
@@ -32,6 +32,17 @@ pub enum SdamError {
     EmptyProfile,
     /// A co-run was requested with an empty workload list.
     NoWorkloads,
+    /// A co-run workload emitted a variable id at or above the stride
+    /// the co-run renumbers workloads by, so it would share a variable
+    /// (and a mapping) with the next workload's.
+    CorunVariableOutOfRange {
+        /// Position of the workload in the co-run list.
+        workload: usize,
+        /// The offending variable id.
+        variable: VariableId,
+        /// The exclusive bound on a co-run workload's variable ids.
+        limit: u32,
+    },
 }
 
 impl std::fmt::Display for SdamError {
@@ -48,6 +59,15 @@ impl std::fmt::Display for SdamError {
                 )
             }
             SdamError::NoWorkloads => write!(f, "need at least one workload"),
+            SdamError::CorunVariableOutOfRange {
+                workload,
+                variable,
+                limit,
+            } => write!(
+                f,
+                "co-run workload {workload} emits variable id {}, but co-run needs ids below {limit}",
+                variable.0
+            ),
         }
     }
 }
@@ -59,7 +79,9 @@ impl std::error::Error for SdamError {
             SdamError::Mem(e) => Some(e),
             SdamError::Cmt(e) => Some(e),
             SdamError::TraceIo(e) => Some(e),
-            SdamError::EmptyProfile | SdamError::NoWorkloads => None,
+            SdamError::EmptyProfile
+            | SdamError::NoWorkloads
+            | SdamError::CorunVariableOutOfRange { .. } => None,
         }
     }
 }

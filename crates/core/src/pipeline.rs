@@ -1,50 +1,38 @@
 //! The end-to-end evaluation pipeline:
 //! profile → select → allocate → execute → report.
 //!
-//! Each entry point comes in two flavours: a fallible `try_*` function
-//! returning [`SdamError`] (for embedders), and a signature-compatible
-//! panicking wrapper (for the figure binaries, which want fail-fast
-//! behaviour). All of them drive the composable stages of
-//! [`crate::stage`]; the `*_with_cache` variants accept an external
-//! [`StageCache`] so a harness can reuse profiles and selections across
-//! calls.
+//! One fallible function per job, each returning [`SdamError`]; the
+//! figure binaries route those errors through one `exit_on_err`. All of
+//! them drive the composable stages of [`crate::stage`]; the
+//! `*_with_cache` variants accept an external [`StageCache`] so a
+//! harness can reuse profiles and selections across calls.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use sdam_mapping::MappingId;
-use sdam_sys::{Machine, MappingEngine};
+use sdam_sys::Machine;
 use sdam_trace::VariableId;
 use sdam_workloads::Workload;
 
 use crate::config::{Experiment, SystemConfig};
 use crate::error::SdamError;
 use crate::par::par_map_indexed;
-use crate::profiling::{self, ProfileData, Selection};
+use crate::profiling::{self, ProfileData};
 use crate::report::{Comparison, PhaseTimes, RunResult};
 use crate::stage::{
-    profile_key, run_stages, selection_key, standard_stages, ProfileHandle, RunContext, StageCache,
+    profile_key, selection_key, standard_stages, ProfileHandle, RunContext, StageCache,
 };
 use crate::system::SdamSystem;
+
+/// Co-run renumbering: workload `i`'s variable `v` becomes
+/// `v + i * CORUN_ID_STRIDE`, so every workload must keep its ids below
+/// this bound.
+const CORUN_ID_STRIDE: u32 = 100_000;
 
 /// Runs one workload under one configuration.
 ///
 /// Profiling (when the configuration needs it) uses the *training*
 /// input (`exp.profile_seed`); execution uses the evaluation input
 /// (`exp.scale.seed`) — the paper's cross-validation protocol.
-///
-/// # Panics
-///
-/// Panics if the experiment is invalid or physical memory is exhausted
-/// at the configured scale.
-pub fn run(workload: &dyn Workload, config: SystemConfig, exp: &Experiment) -> RunResult {
-    match try_run(workload, config, exp) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`run`].
 ///
 /// # Errors
 ///
@@ -59,26 +47,9 @@ pub fn try_run(
     try_run_with_cache(workload, config, exp, None, &cache)
 }
 
-/// Like [`run`], but with an externally supplied profile (lets callers
-/// profile once and evaluate many configurations, and lets the BS+BSM
-/// baseline use a workload-mix profile as the paper does).
-///
-/// # Panics
-///
-/// As [`run`].
-pub fn run_with_profile(
-    workload: &dyn Workload,
-    config: SystemConfig,
-    exp: &Experiment,
-    data: Option<&ProfileData>,
-) -> RunResult {
-    match try_run_with_profile(workload, config, exp, data) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`run_with_profile`].
+/// Like [`try_run`], but with an externally supplied profile (lets
+/// callers profile once and evaluate many configurations, and lets the
+/// BS+BSM baseline use a workload-mix profile as the paper does).
 ///
 /// # Errors
 ///
@@ -95,11 +66,11 @@ pub fn try_run_with_profile(
 
 /// The full staged run with an explicit artifact cache: seeds a
 /// [`RunContext`] (borrowing `data` when supplied), drives the standard
-/// stages, and returns the assembled result.
+/// stages in order, and returns the assembled result.
 ///
 /// # Errors
 ///
-/// As [`try_run`].
+/// As [`try_run`]: the first stage error.
 pub fn try_run_with_cache(
     workload: &dyn Workload,
     config: SystemConfig,
@@ -112,7 +83,9 @@ pub fn try_run_with_cache(
     if let Some(d) = data {
         ctx.profile = Some(ProfileHandle::Borrowed(d));
     }
-    run_stages(&mut ctx, &standard_stages())?;
+    for stage in standard_stages() {
+        stage.run(&mut ctx)?;
+    }
     let Some(result) = ctx.result.take() else {
         panic!("ReportStage did not produce a result");
     };
@@ -126,18 +99,6 @@ pub fn try_run_with_cache(
 /// The per-configuration runs are independent given the shared profile,
 /// so they fan out across `exp.parallelism` worker threads; results come
 /// back in lineup order and are bit-identical to a serial sweep.
-///
-/// # Panics
-///
-/// As [`run`].
-pub fn compare(workload: &dyn Workload, configs: &[SystemConfig], exp: &Experiment) -> Comparison {
-    match try_compare(workload, configs, exp) {
-        Ok(c) => c,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`compare`].
 ///
 /// # Errors
 ///
@@ -206,22 +167,12 @@ pub fn try_compare_with_cache(
 /// the global baselines one mapping must serve the whole mix — the
 /// system-level version of the paper's Observation 2.
 ///
-/// # Panics
-///
-/// Panics if `workloads` is empty or the experiment is invalid.
-pub fn run_corun(workloads: &[&dyn Workload], config: SystemConfig, exp: &Experiment) -> RunResult {
-    match try_run_corun(workloads, config, exp) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`run_corun`].
-///
 /// # Errors
 ///
-/// [`SdamError::NoWorkloads`] for an empty workload list, plus anything
-/// [`try_run`] can return.
+/// [`SdamError::NoWorkloads`] for an empty workload list,
+/// [`SdamError::CorunVariableOutOfRange`] when a workload emits a
+/// variable id of 100 000 or more (workload ids are renumbered by that
+/// stride), plus anything [`try_run`] can return.
 pub fn try_run_corun(
     workloads: &[&dyn Workload],
     config: SystemConfig,
@@ -229,6 +180,18 @@ pub fn try_run_corun(
 ) -> Result<RunResult, SdamError> {
     let cache = StageCache::new();
     try_run_corun_with_cache(workloads, config, exp, &cache)
+}
+
+/// Workload `workload`'s variable `v` in the merged co-run namespace.
+fn corun_variable(workload: usize, v: VariableId) -> Result<VariableId, SdamError> {
+    if v.0 >= CORUN_ID_STRIDE {
+        return Err(SdamError::CorunVariableOutOfRange {
+            workload,
+            variable: v,
+            limit: CORUN_ID_STRIDE,
+        });
+    }
+    Ok(VariableId(v.0 + workload as u32 * CORUN_ID_STRIDE))
 }
 
 /// [`try_run_corun`] with an external artifact cache: per-workload
@@ -252,11 +215,35 @@ pub fn try_run_corun_with_cache(
 
     let mut phases = PhaseTimes::default();
 
+    // Generate each workload's evaluation trace, renumbered into the
+    // merged id namespace and pinned to its own core set. Generation is
+    // per-workload independent and fans out; it runs before profiling
+    // so an id that would collide fails before any work is spent. Its
+    // time counts toward materialize, as in the single-workload path.
+    let t0 = Instant::now();
+    let eval = par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |i, w| {
+        w.generate(exp.scale)
+            .iter()
+            .map(|a| {
+                Ok(sdam_trace::MemAccess {
+                    variable: corun_variable(i, a.variable)?,
+                    thread: sdam_trace::ThreadId(
+                        (a.thread.0 as usize % exp.machine.num_cores + i * exp.machine.num_cores)
+                            as u16,
+                    ),
+                    ..*a
+                })
+            })
+            .collect::<Result<sdam_trace::Trace, SdamError>>()
+    });
+    let eval: Vec<sdam_trace::Trace> = eval.into_iter().collect::<Result<_, _>>()?;
+    let generate = t0.elapsed();
+
     // Profile each workload independently (per-process profiling, as the
-    // paper's offline flow does), then merge the profiles: variables are
-    // renumbered per workload so ids never collide. The per-workload
-    // profiling runs are independent, so they fan out across the
-    // experiment's thread budget (merge order stays the input order).
+    // paper's offline flow does), then merge the profiles under the same
+    // renumbering. The per-workload profiling runs are independent, so
+    // they fan out across the experiment's thread budget (merge order
+    // stays the input order).
     let t0 = Instant::now();
     let keys: Vec<String> = workloads.iter().map(|w| profile_key(*w, exp)).collect();
     let profiles = par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |i, w| {
@@ -267,14 +254,11 @@ pub fn try_run_corun_with_cache(
         .collect::<Result<Vec<_>, SdamError>>()?;
     phases.profile = t0.elapsed();
 
-    // Renumber variables: workload i's variable v becomes
-    // v + i * 100_000 (traces never have that many variables).
-    const STRIDE: u32 = 100_000;
     let mut merged = profiling::empty_profile(exp);
     let mut agg_members: Vec<&sdam_mapping::BitFlipRateVector> = Vec::new();
     for (i, p) in profiles.iter().enumerate() {
         for &v in &p.major {
-            let nv = VariableId(v.0 + i as u32 * STRIDE);
+            let nv = corun_variable(i, v)?;
             merged.major.push(nv);
             merged.bfrvs.insert(nv, p.bfrvs[&v].clone());
             merged.pa_streams.insert(nv, p.pa_streams[&v].clone());
@@ -291,37 +275,12 @@ pub fn try_run_corun_with_cache(
     })?;
     phases.select = t0.elapsed();
 
-    // Materialize all workloads into ONE system; each runs in its own
-    // process, its trace renumbered and pinned to its core set. Trace
-    // generation is per-workload independent and fans out; allocation
-    // into the shared system below stays serial (one physical memory).
+    // Materialize all workloads into ONE system, each in its own
+    // process. Allocation into the shared system stays serial (one
+    // physical memory).
     let t0 = Instant::now();
-    let eval: Vec<sdam_trace::Trace> =
-        par_map_indexed(exp.parallelism.threads(), workloads.to_vec(), |i, w| {
-            w.generate(exp.scale)
-                .iter()
-                .map(|a| sdam_trace::MemAccess {
-                    variable: VariableId(a.variable.0 + i as u32 * STRIDE),
-                    thread: sdam_trace::ThreadId(
-                        (a.thread.0 as usize % exp.machine.num_cores + i * exp.machine.num_cores)
-                            as u16,
-                    ),
-                    ..*a
-                })
-                .collect()
-        });
-
     let mut sys = SdamSystem::try_new(exp.geometry, exp.chunk_bits)?;
-    let var_mapping: BTreeMap<VariableId, MappingId> = match &out.selection {
-        Selection::Sdam { perms, assignment } => {
-            let mut ids = Vec::with_capacity(perms.len());
-            for p in perms {
-                ids.push(sys.try_add_mapping(p)?);
-            }
-            assignment.iter().map(|(&v, &c)| (v, ids[c])).collect()
-        }
-        _ => BTreeMap::new(),
-    };
+    let var_mapping = out.selection.try_register(&mut sys)?;
     let mut pa_traces = Vec::new();
     for (i, t) in eval.iter().enumerate() {
         let pid = if i == 0 {
@@ -337,14 +296,9 @@ pub fn try_run_corun_with_cache(
         )?);
     }
     let combined = sdam_trace::gen::interleave_round_robin(pa_traces);
-    phases.materialize = t0.elapsed();
+    phases.materialize = generate + t0.elapsed();
 
-    let engine = match &out.selection {
-        Selection::GlobalIdentity => MappingEngine::identity(),
-        Selection::GlobalShuffle(m) => MappingEngine::Global(Box::new(m.clone())),
-        Selection::GlobalHash(m) => MappingEngine::Global(Box::new(m.clone())),
-        Selection::Sdam { .. } => MappingEngine::Chunked(sys.cmt_snapshot()),
-    };
+    let engine = out.selection.engine(&sys);
     // The machine grows to host all workloads' cores.
     let mut machine_cfg = exp.machine;
     machine_cfg.num_cores *= workloads.len();
@@ -370,7 +324,7 @@ mod tests {
     #[test]
     fn sdam_beats_default_on_hostile_stride() {
         let w = DataCopy::new(vec![32]);
-        let cmp = compare(&w, &[SystemConfig::SdmBsm], &Experiment::quick());
+        let cmp = try_compare(&w, &[SystemConfig::SdmBsm], &Experiment::quick()).unwrap();
         let s = cmp.speedup_of(SystemConfig::SdmBsm).unwrap();
         assert!(s > 1.25, "SDM+BSM should fix the pinned stride, got {s}");
     }
@@ -384,11 +338,12 @@ mod tests {
         // not win here, and per-variable clustering must recover most of
         // the loss.
         let w = DataCopy::new(vec![1]);
-        let cmp = compare(
+        let cmp = try_compare(
             &w,
             &[SystemConfig::SdmBsm, SystemConfig::SdmBsmMl { clusters: 4 }],
             &Experiment::quick(),
-        );
+        )
+        .unwrap();
         let s = cmp.speedup_of(SystemConfig::SdmBsm).unwrap();
         assert!((0.5..1.3).contains(&s), "streaming speedup {s}");
         let ml = cmp
@@ -406,11 +361,12 @@ mod tests {
         // global shuffle cannot serve both patterns but per-variable
         // SDAM can.
         let w = DataCopy::new(vec![1, 32]);
-        let cmp = compare(
+        let cmp = try_compare(
             &w,
             &[SystemConfig::BsBsm, SystemConfig::SdmBsmMl { clusters: 4 }],
             &Experiment::quick(),
-        );
+        )
+        .unwrap();
         let global = cmp.speedup_of(SystemConfig::BsBsm).unwrap();
         let per_var = cmp
             .speedup_of(SystemConfig::SdmBsmMl { clusters: 4 })
@@ -428,7 +384,7 @@ mod tests {
     #[test]
     fn baseline_always_present() {
         let w = DataCopy::new(vec![8]);
-        let cmp = compare(&w, &[SystemConfig::BsHm], &Experiment::quick());
+        let cmp = try_compare(&w, &[SystemConfig::BsHm], &Experiment::quick()).unwrap();
         assert_eq!(cmp.results[0].config, SystemConfig::BsDm);
         assert_eq!(cmp.results.len(), 2);
         assert!((cmp.speedup_of(SystemConfig::BsDm).unwrap() - 1.0).abs() < 1e-12);
@@ -480,7 +436,7 @@ mod tests {
         // reports the same cycles as independent fresh runs.
         let w = DataCopy::new(vec![4, 16]);
         let exp = Experiment::quick();
-        let fresh = compare(&w, &[SystemConfig::SdmBsm], &exp);
+        let fresh = try_compare(&w, &[SystemConfig::SdmBsm], &exp).unwrap();
         let cache = StageCache::new();
         let cached = try_compare_with_cache(&w, &[SystemConfig::SdmBsm], &exp, &cache).unwrap();
         for (a, b) in fresh.results.iter().zip(&cached.results) {
@@ -500,11 +456,12 @@ mod tests {
         let strider = DataCopy::with_threads(vec![32], 1);
         let exp = Experiment::quick();
         let run = |config| {
-            run_corun(
+            try_run_corun(
                 &[&streamer as &dyn sdam_workloads::Workload, &strider],
                 config,
                 &exp,
             )
+            .unwrap()
             .report
             .cycles
         };
@@ -543,13 +500,14 @@ mod tests {
     #[test]
     fn learning_time_only_for_learned_configs() {
         let w = DataCopy::new(vec![16]);
-        let r = run(&w, SystemConfig::BsDm, &Experiment::quick());
+        let r = try_run(&w, SystemConfig::BsDm, &Experiment::quick()).unwrap();
         assert!(r.learning_time.is_none());
-        let r = run(
+        let r = try_run(
             &w,
             SystemConfig::SdmBsmMl { clusters: 2 },
             &Experiment::quick(),
-        );
+        )
+        .unwrap();
         assert!(r.learning_time.is_some());
     }
 }

@@ -11,7 +11,10 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use sdam_mapping::{select, BfrvAccumulator, BitFlipRateVector, BitPermutation, HashMapping};
+use sdam_mapping::{
+    select, BfrvAccumulator, BitFlipRateVector, BitPermutation, HashMapping, MappingId,
+};
+use sdam_sys::MappingEngine;
 use sdam_trace::{profile, Trace, VariableId, VariableIndex};
 use sdam_workloads::Workload;
 
@@ -129,14 +132,6 @@ pub fn try_materialize_in(
 /// per-variable BFRV reflects the pattern SDAM's allocator will
 /// reproduce at run time — without segregation, demand paging scrambles
 /// every bit above the page offset.
-pub fn profile_on_baseline(workload: &dyn Workload, exp: &Experiment) -> ProfileData {
-    match try_profile_on_baseline(workload, exp) {
-        Ok(d) => d,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`profile_on_baseline`].
 ///
 /// # Errors
 ///
@@ -233,6 +228,41 @@ pub enum Selection {
     },
 }
 
+impl Selection {
+    /// Registers an SDAM plan's permutations with `sys` and returns the
+    /// variable → mapping-id map allocation takes; global plans register
+    /// nothing and leave every variable on the default mapping.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SdamSystem::try_add_mapping`]'s errors.
+    pub(crate) fn try_register(
+        &self,
+        sys: &mut SdamSystem,
+    ) -> Result<BTreeMap<VariableId, MappingId>, SdamError> {
+        let Selection::Sdam { perms, assignment } = self else {
+            return Ok(BTreeMap::new());
+        };
+        let mut ids = Vec::with_capacity(perms.len());
+        for p in perms {
+            ids.push(sys.try_add_mapping(p)?);
+        }
+        Ok(assignment.iter().map(|(&v, &c)| (v, ids[c])).collect())
+    }
+
+    /// The address-mapping engine the machine runs this plan under: the
+    /// global mapping, or for an SDAM plan a snapshot of the CMT of
+    /// `sys`, the system the plan was registered with.
+    pub(crate) fn engine(&self, sys: &SdamSystem) -> MappingEngine {
+        match self {
+            Selection::GlobalIdentity => MappingEngine::identity(),
+            Selection::GlobalShuffle(m) => MappingEngine::Global(Box::new(m.clone())),
+            Selection::GlobalHash(m) => MappingEngine::Global(Box::new(m.clone())),
+            Selection::Sdam { .. } => MappingEngine::Chunked(sys.cmt_snapshot()),
+        }
+    }
+}
+
 /// Result of selection, with the profiling/learning cost (the paper's
 /// Fig. 13 metric).
 #[derive(Debug, Clone)]
@@ -244,25 +274,6 @@ pub struct SelectionOutcome {
 }
 
 /// Selects mappings for a configuration from profile data.
-///
-/// # Panics
-///
-/// Panics if a profiling-dependent configuration is given an empty
-/// profile (no major variables).
-pub fn select_mappings(
-    config: SystemConfig,
-    data: &ProfileData,
-    exp: &Experiment,
-) -> SelectionOutcome {
-    match try_select_mappings(config, data, exp) {
-        Ok(out) => out,
-        // Keep the historical wording: tooling greps for it.
-        Err(SdamError::EmptyProfile) => panic!("profiling found no major variables"),
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible twin of [`select_mappings`].
 ///
 /// # Errors
 ///
@@ -474,7 +485,7 @@ mod tests {
         // the 255th is var 44, which takes the last of the 255 ids. The
         // overflow (vars 0..=29 and 45..=59) must share var 44's chunk
         // group, not that of the highest-numbered variable (299).
-        let data = profile_on_baseline(&ManyVariables, &exp());
+        let data = try_profile_on_baseline(&ManyVariables, &exp()).unwrap();
         assert_eq!(data.major.len(), 300);
         assert_eq!(data.major[254], VariableId(44));
         let chunks = |v: u32| -> std::collections::BTreeSet<u64> {
@@ -494,7 +505,7 @@ mod tests {
 
     #[test]
     fn profile_identifies_copy_variables() {
-        let data = profile_on_baseline(&DataCopy::new(vec![16]), &exp());
+        let data = try_profile_on_baseline(&DataCopy::new(vec![16]), &exp()).unwrap();
         assert!(!data.major.is_empty());
         assert_eq!(data.bfrvs.len(), data.major.len());
         assert!(data.aggregate.samples() > 0);
@@ -502,21 +513,30 @@ mod tests {
 
     #[test]
     fn selection_shapes_per_config() {
-        let data = profile_on_baseline(&DataCopy::new(vec![4, 16]), &exp());
+        let data = try_profile_on_baseline(&DataCopy::new(vec![4, 16]), &exp()).unwrap();
         let e = exp();
         assert!(matches!(
-            select_mappings(SystemConfig::BsDm, &data, &e).selection,
+            try_select_mappings(SystemConfig::BsDm, &data, &e)
+                .unwrap()
+                .selection,
             Selection::GlobalIdentity
         ));
         assert!(matches!(
-            select_mappings(SystemConfig::BsHm, &data, &e).selection,
+            try_select_mappings(SystemConfig::BsHm, &data, &e)
+                .unwrap()
+                .selection,
             Selection::GlobalHash(_)
         ));
         assert!(matches!(
-            select_mappings(SystemConfig::BsBsm, &data, &e).selection,
+            try_select_mappings(SystemConfig::BsBsm, &data, &e)
+                .unwrap()
+                .selection,
             Selection::GlobalShuffle(_)
         ));
-        match select_mappings(SystemConfig::SdmBsm, &data, &e).selection {
+        match try_select_mappings(SystemConfig::SdmBsm, &data, &e)
+            .unwrap()
+            .selection
+        {
             Selection::Sdam { perms, assignment } => {
                 assert_eq!(perms.len(), 1);
                 assert_eq!(assignment.len(), data.major.len());
@@ -529,9 +549,9 @@ mod tests {
     fn ml_selection_groups_same_stride_variables() {
         // Two strides, two clusters: src/dst of the same stride should
         // land in the same cluster.
-        let data = profile_on_baseline(&DataCopy::new(vec![1, 16]), &exp());
+        let data = try_profile_on_baseline(&DataCopy::new(vec![1, 16]), &exp()).unwrap();
         let e = exp();
-        let out = select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &e);
+        let out = try_select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &e).unwrap();
         match out.selection {
             Selection::Sdam { perms, assignment } => {
                 assert_eq!(perms.len(), 2);
@@ -547,8 +567,9 @@ mod tests {
 
     #[test]
     fn learning_time_recorded() {
-        let data = profile_on_baseline(&DataCopy::new(vec![8]), &exp());
-        let out = select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &exp());
+        let data = try_profile_on_baseline(&DataCopy::new(vec![8]), &exp()).unwrap();
+        let out =
+            try_select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &exp()).unwrap();
         // Duration is non-negative by type; just check it was measured.
         assert!(out.learning_time.as_nanos() < u128::MAX);
     }

@@ -269,69 +269,6 @@ impl Hbm {
         self.stats()
     }
 
-    /// Like [`Hbm::run_open_loop_windowed`], but draining the channels on
-    /// `threads` OS threads. Channels are fully independent state
-    /// machines, so sharding the drain by channel is exact: the returned
-    /// statistics are identical to the serial drain's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` or `threads` is zero, or an address is out of
-    /// range.
-    pub fn run_open_loop_windowed_par<I>(
-        &mut self,
-        addrs: I,
-        window: usize,
-        threads: usize,
-    ) -> SimStats
-    where
-        I: IntoIterator<Item = DecodedAddr>,
-    {
-        assert!(threads > 0, "need at least one drain thread");
-        if threads == 1 {
-            return self.run_open_loop_windowed(addrs, window);
-        }
-        let addrs = addrs.into_iter();
-        self.reserve_per_channel(addrs.size_hint().0);
-        for a in addrs {
-            let a = self.effective(a);
-            self.channels[a.channel as usize].push(a, 0);
-            self.requests += 1;
-        }
-        let timing = self.timing;
-        // Round-robin sharding keeps per-thread load even under skewed
-        // channel histograms without any cross-thread communication.
-        let mut shards: Vec<Vec<&mut ChannelSim>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            shards[i % threads].push(ch);
-        }
-        let done = std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .map(|mut shard_channels| {
-                    s.spawn(move || {
-                        // One scratch per worker: channels in a shard
-                        // drain sequentially, and scratch never carries
-                        // state, so sharing it cannot change a pick.
-                        let mut scratch = DrainScratch::default();
-                        shard_channels
-                            .iter_mut()
-                            .map(|ch| ch.drain_with(window, &timing, &mut scratch))
-                            .max()
-                            .unwrap_or(0)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("drain thread panicked"))
-                .max()
-                .unwrap_or(0)
-        });
-        self.makespan = self.makespan.max(done);
-        self.stats()
-    }
-
     /// Like [`Hbm::run_open_loop_windowed`], but with **bounded resident
     /// memory**: requests are pushed in blocks of `block`, and between
     /// blocks every channel is partially drained down to its youngest
@@ -379,20 +316,6 @@ impl Hbm {
         }
         self.scratch = scratch;
         self.stats()
-    }
-
-    /// [`Hbm::run_open_loop`] with a parallel per-channel drain; exact
-    /// same results, `threads`-way faster wall-clock on multi-channel
-    /// devices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or an address is out of range.
-    pub fn run_open_loop_par<I>(&mut self, addrs: I, threads: usize) -> SimStats
-    where
-        I: IntoIterator<Item = DecodedAddr>,
-    {
-        self.run_open_loop_windowed_par(addrs, DEFAULT_REORDER_WINDOW, threads)
     }
 
     /// A snapshot of the statistics accumulated since construction or the
@@ -521,26 +444,6 @@ mod tests {
         let sb = b.stats();
         assert_eq!(sa.makespan, sb.makespan);
         assert_eq!(sa.per_channel, sb.per_channel);
-    }
-
-    #[test]
-    fn parallel_drain_identical_to_serial() {
-        let geom = Geometry::hbm2_8gb();
-        // Stride 3 walks all channels with uneven per-bank patterns; a
-        // channel-pinning stride stresses the skewed-shard case.
-        for stride in [1u64, 3, 32] {
-            let stream = stride_stream(geom, stride, 8_192);
-            let mut serial = device();
-            let expected = serial.run_open_loop(stream.clone());
-            for threads in [2usize, 4, 7] {
-                let mut par = device();
-                let got = par.run_open_loop_par(stream.clone(), threads);
-                assert_eq!(
-                    expected, got,
-                    "stride {stride} x {threads} threads diverged"
-                );
-            }
-        }
     }
 
     #[test]

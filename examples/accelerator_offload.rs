@@ -16,7 +16,7 @@ use sdam_workloads::analytics::HashJoin;
 use sdam_workloads::ann::KMeansWorkload;
 use sdam_workloads::{Scale, Workload};
 
-fn main() {
+fn main() -> Result<(), sdam::SdamError> {
     let config = SystemConfig::SdmBsmMl { clusters: 32 };
     for w in [&KMeansWorkload as &dyn Workload, &HashJoin as &dyn Workload] {
         println!("{}:", w.name());
@@ -27,11 +27,12 @@ fn main() {
             let mut exp = Experiment::bench();
             exp.scale = Scale::small();
             exp.machine = machine;
-            let cmp = pipeline::compare(w, &[config], &exp);
+            let cmp = pipeline::try_compare(w, &[config], &exp)?;
             let base = cmp.baseline_cycles();
             let speedup = cmp.speedup_of(config).expect("config ran");
             println!("  {name:<20} baseline {base:>9} cycles, SDAM speedup {speedup:.2}x");
         }
     }
     println!("\npaper: accelerators gain more (2.58x vs 1.84x on the CPU)");
+    Ok(())
 }

@@ -12,13 +12,13 @@ use sdam::{pipeline, profiling, Experiment, SystemConfig};
 use sdam_workloads::analytics::{HashJoin, MergeSortJoin};
 use sdam_workloads::{Scale, Workload};
 
-fn main() {
+fn main() -> Result<(), sdam::SdamError> {
     let mut exp = Experiment::bench();
     exp.scale = Scale::small();
 
     // 1. Profile the hash join on the training input.
     let join = HashJoin;
-    let data = profiling::profile_on_baseline(&join, &exp);
+    let data = profiling::try_profile_on_baseline(&join, &exp)?;
     println!("hash-join major variables (of the 80% reference mass):");
     let names = ["build relation", "probe relation", "bucket table", "output"];
     for v in &data.major {
@@ -31,7 +31,7 @@ fn main() {
     }
 
     // 2. What the ML selector decides.
-    let out = profiling::select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &exp);
+    let out = profiling::try_select_mappings(SystemConfig::SdmBsmMl { clusters: 2 }, &data, &exp)?;
     if let profiling::Selection::Sdam { perms, assignment } = &out.selection {
         println!(
             "\nK-Means(2) grouped the variables into {} mappings:",
@@ -44,11 +44,12 @@ fn main() {
 
     // 3. End-to-end comparison for both joins.
     for w in [&HashJoin as &dyn Workload, &MergeSortJoin as &dyn Workload] {
-        let cmp = pipeline::compare(
+        let cmp = pipeline::try_compare(
             w,
             &[SystemConfig::BsHm, SystemConfig::SdmBsmMl { clusters: 4 }],
             &exp,
-        );
+        )?;
         print!("\n{cmp}");
     }
+    Ok(())
 }

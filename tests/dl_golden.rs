@@ -23,7 +23,7 @@ const GOLDEN: [usize; 8] = [3, 3, 1, 2, 0, 3, 1, 2];
 fn bench_traces() -> (Vec<Vec<u64>>, Experiment) {
     let exp = Experiment::quick();
     let w = DataCopy::new(vec![1, 16]);
-    let data = profiling::profile_on_baseline(&w, &exp);
+    let data = profiling::try_profile_on_baseline(&w, &exp).unwrap();
     let traces = data
         .major
         .iter()

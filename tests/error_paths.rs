@@ -10,7 +10,9 @@ use sdam_hbm::Geometry;
 use sdam_mapping::{BitPermutation, Cmt, CmtError, MappingId};
 use sdam_mem::{MemError, VirtAddr};
 use sdam_sys::{CacheConfig, ConfigError, Machine, MachineConfig};
+use sdam_trace::{Trace, VariableId};
 use sdam_workloads::datacopy::DataCopy;
+use sdam_workloads::{Scale, Workload};
 
 /// A 16 KB device: 6 line + 2 col + 1 channel + 1 bank + 4 row = 14
 /// address bits, two 8 KB chunks — small enough to exhaust in a test.
@@ -204,4 +206,70 @@ fn empty_profile_is_a_typed_error_for_learned_configs() {
             "{config}: expected EmptyProfile, got {err:?}"
         );
     }
+}
+
+/// A workload whose variable ids are another's shifted by `offset`.
+#[derive(Debug)]
+struct Shifted {
+    inner: DataCopy,
+    offset: u32,
+}
+
+impl Workload for Shifted {
+    fn name(&self) -> &str {
+        "shifted"
+    }
+
+    fn generate(&self, scale: Scale) -> Trace {
+        self.inner
+            .generate(scale)
+            .iter()
+            .map(|a| sdam_trace::MemAccess {
+                variable: VariableId(a.variable.0 + self.offset),
+                ..*a
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn corun_variable_ids_past_the_renumbering_stride_are_rejected() {
+    // Co-run renumbers workload i's variable v to v + i * 100_000, so a
+    // first workload emitting id 100_000 would silently share a variable
+    // (and a mapping) with the second workload's id 0.
+    const LIMIT: u32 = 100_000;
+    let exp = Experiment::quick();
+    let inner = || DataCopy::with_threads(vec![32], 1);
+    let top = inner()
+        .generate(exp.scale)
+        .iter()
+        .map(|a| a.variable.0)
+        .max()
+        .expect("non-empty trace");
+    let other = DataCopy::with_threads(vec![1], 1);
+    let config = SystemConfig::SdmBsmMl { clusters: 4 };
+
+    let below = Shifted {
+        inner: inner(),
+        offset: LIMIT - 1 - top,
+    };
+    let r = pipeline::try_run_corun(&[&below, &other], config, &exp);
+    assert!(r.is_ok(), "ids up to {} must co-run: {r:?}", LIMIT - 1);
+
+    let at = Shifted {
+        inner: inner(),
+        offset: LIMIT - top,
+    };
+    let err = pipeline::try_run_corun(&[&at, &other], config, &exp);
+    assert!(
+        matches!(
+            err,
+            Err(SdamError::CorunVariableOutOfRange {
+                workload: 0,
+                variable: VariableId(LIMIT),
+                limit: LIMIT,
+            })
+        ),
+        "expected CorunVariableOutOfRange, got {err:?}"
+    );
 }

@@ -15,8 +15,6 @@
 //! 4. chunk claims − releases equal live chunks (and the event trace
 //!    agrees with the counters when nothing was dropped).
 
-#![cfg(feature = "obs")]
-
 use proptest::prelude::*;
 use sdam::obs::Registry;
 use sdam::{pipeline, Experiment, Parallelism, SystemConfig};
@@ -40,7 +38,7 @@ fn check_identities(strides: &[u64], config: SystemConfig, threads: usize) {
     } else {
         Parallelism::Threads(threads)
     };
-    let r = pipeline::run(&w, config, &exp);
+    let r = pipeline::try_run(&w, config, &exp).unwrap();
     let reg = &r.metrics;
 
     // Identity 1: channel shards account for every request.
@@ -232,11 +230,12 @@ fn adaptive_identities_partition_workload_and_migration_traffic() {
 #[test]
 fn comparison_merges_runs_and_cache_counters() {
     let w = DataCopy::new(vec![16]);
-    let cmp = pipeline::compare(
+    let cmp = pipeline::try_compare(
         &w,
         &[SystemConfig::SdmBsm, SystemConfig::SdmBsmMl { clusters: 2 }],
         &Experiment::quick(),
-    );
+    )
+    .unwrap();
     // Counter merge is additive across the lineup (BS+DM prepended).
     let sum: u64 = cmp
         .results

@@ -12,8 +12,6 @@
 //! SDAM_BLESS=1 cargo test --test obs_snapshot
 //! ```
 
-#![cfg(feature = "obs")]
-
 use sdam::{pipeline, Experiment, Parallelism, SystemConfig};
 use sdam_workloads::datacopy::DataCopy;
 
@@ -30,7 +28,8 @@ fn snapshot() -> String {
         parallelism: Parallelism::Serial,
         ..Experiment::quick()
     };
-    pipeline::run(&w, SystemConfig::SdmBsm, &exp)
+    pipeline::try_run(&w, SystemConfig::SdmBsm, &exp)
+        .unwrap()
         .metrics
         .stable_json()
 }
